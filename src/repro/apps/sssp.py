@@ -37,8 +37,8 @@ def expand_edge_weights(graph: Graph, weights: np.ndarray) -> np.ndarray:
     m = graph.m
     if weights.shape != (m,):
         raise ValueError(f"weights must have shape ({m},), got {weights.shape}")
-    if m and weights.min() < 0:
-        raise ValueError("negative edge weights are not supported")
+    if not (weights >= 0).all():
+        raise ValueError("negative or NaN edge weights are not supported")
     n = graph.n
     e = graph.edges()
     keys = e[:, 0] * np.int64(n) + e[:, 1]

@@ -32,7 +32,6 @@ import numpy as np
 from repro.bfs.msbfs import spmm_layer_sweep
 from repro.bfs.result import BFSResult, IterationStats
 from repro.bfs.spmspv import expand_adjacency
-from repro.bfs.spmv import BFSSpMV
 from repro.formats.sell import SellCSigma
 from repro.semirings.base import get_semiring
 
@@ -64,10 +63,9 @@ def bfs_hybrid(
     if not 0 <= root < n:
         raise ValueError(f"root {root} out of range [0, {n})")
     sr = get_semiring("tropical")
-    # Pull engine state lives in permuted space; we keep the canonical
-    # distance vector in original space and mirror it into the engine's
-    # state on direction changes.
-    pull = BFSSpMV(rep, sr, slimwork=True, compute_parents=False)
+    # Pull state lives in permuted space; we keep the canonical distance
+    # vector in original space and mirror it into the state on direction
+    # changes.
     st = sr.init_state(rep.n, rep.N, int(rep.perm[root]))
 
     dist = np.full(n, np.inf)
@@ -90,7 +88,8 @@ def bfs_hybrid(
             st.f = np.full(rep.N, np.inf)
             st.f[rep.perm] = dist
             st.depth = k
-            active = pull._active_chunks(st)
+            settled = sr.settled_lanes(st).reshape(rep.nc, rep.C)
+            active = ~settled.all(axis=1)  # SlimWork chunk mask
             x_raw = st.f.copy()
             spmm_layer_sweep(rep, sr, st.f, x_raw, np.flatnonzero(active))
             st.f = x_raw

@@ -15,8 +15,9 @@ stream once per layer regardless of B, which is exactly the amortization
 the batched counter model (:func:`repro.bfs.spmv.synthesize_counters` with
 ``batch=B``) accounts for.
 
-Semantics are *bit-identical* to the single-source layer engine, per
-source:
+The single-source layer engine (``BFSSpMV(engine="layer")``) is this
+engine at B=1.  Semantics are *bit-identical* to running each source
+alone, per source:
 
 * SlimWork keeps **per-source active-chunk masks**; a chunk enters the SpMM
   sweep when any still-running source needs it.  Processing a chunk that is
@@ -132,11 +133,14 @@ def run_in_batches(engine, roots, batch: int | None) -> list[BFSResult]:
 
 
 # ----------------------------------------------------------------------
-# Shared sweep machinery: the batched engines (this module's all-pull
-# SpMM engine, the single-source hybrid in :mod:`repro.bfs.hybrid`, and
-# the direction-optimizing batch engine in :mod:`repro.bfs.mshybrid`)
-# all drive the same shrinking-prefix column-layer kernel and the same
-# per-column state bookkeeping, so those pieces live here as functions.
+# Shared sweep machinery: the library's one shrinking-prefix column-layer
+# kernel.  Every SpMV/SpMM sweep goes through spmm_layer_sweep (or, for
+# the executed backend's row bands, its core sweep_band_layers): this
+# module's all-pull SpMM engine and, as its B=1 case, BFSSpMV's layer
+# engine; the hybrid engines' pull steps (repro.bfs.hybrid,
+# repro.bfs.mshybrid); SlimSpMV (PageRank, betweenness); and the
+# weighted min-plus SSSP sweep.  The per-column state bookkeeping the
+# batched engines share lives here as functions too.
 # ----------------------------------------------------------------------
 def sweep_band_layers(sr: SemiringBFS, C: int, col: np.ndarray,
                       val: np.ndarray, cs: np.ndarray, cl: np.ndarray,
@@ -429,7 +433,14 @@ class MultiSourceBFS:
         # shrinking-prefix pass moving all live columns per gather.
         x_raw = f_prev.copy()
         profile = [] if self._layer_span is not None else None
-        spmm_layer_sweep(self.rep, self.semiring, f_prev, x_raw, act,
+        if x_raw.shape[1] == 1:
+            # A lone column (BFSSpMV's layer engine, or a batch's last
+            # straggler) sweeps as a vector view: the same arithmetic, but
+            # a 1-D gather is cheaper than gathering (N, 1) rows.
+            f_prev, x_out = f_prev[:, 0], x_raw[:, 0]
+        else:
+            x_out = x_raw
+        spmm_layer_sweep(self.rep, self.semiring, f_prev, x_out, act,
                          profile=profile)
         if profile is not None:
             self._layer_span.attrs["column_layers"] = len(profile)

@@ -3,14 +3,17 @@
 The paper's closing argument (§VI) is that SlimSell generalizes beyond BFS:
 any algorithm built on y = A ⊗ x products — betweenness centrality,
 PageRank, label propagation — can run on the slim layout.  ``SlimSpMV``
-packages the layer-engine sweep as a reusable matrix-free operator so the
-application layer (:mod:`repro.apps`) composes with any semiring.
+packages the library's one layer-sweep kernel,
+:func:`~repro.bfs.msbfs.spmm_layer_sweep` (every chunk active), as a
+reusable matrix-free operator so the application layer (:mod:`repro.apps`)
+composes with any semiring.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.bfs.msbfs import spmm_layer_sweep
 from repro.formats.sell import SellCSigma
 from repro.semirings.base import SemiringBFS, get_semiring
 
@@ -34,13 +37,8 @@ class SlimSpMV:
         self.rep = rep
         self.semiring = (get_semiring(semiring)
                          if isinstance(semiring, str) else semiring)
-        self._col = rep.col64  # memoized on the representation
-        self._val = rep.val_for(self.semiring)
-        self._lane_off = np.arange(rep.C, dtype=np.int64)
-        # Precompute the shrinking-prefix order of chunks by length.
-        order = np.argsort(-rep.cl, kind="stable")
-        self._sorted_chunks = order
-        self._sorted_cl = rep.cl[order]
+        rep.val_for(self.semiring)  # validate and memoize the operand
+        self._all_chunks = np.arange(rep.nc)
 
     @property
     def n(self) -> int:
@@ -65,7 +63,7 @@ class SlimSpMV:
         the result is bit-identical to ``self(X[:, b])``.
         """
         rep, sr = self.rep, self.semiring
-        n, N, C = rep.n, rep.N, rep.C
+        n, N = rep.n, rep.N
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] != n:
             raise ValueError(f"X must have shape ({n}, B), got {X.shape}")
@@ -73,17 +71,7 @@ class SlimSpMV:
         Xp = np.full((N, B), sr.zero)
         Xp[rep.perm] = X
         Y = np.full((N, B), sr.zero)
-        y3 = Y.reshape(rep.nc, C, B)
-        srt, scl = self._sorted_chunks, self._sorted_cl
-        max_l = int(scl[0]) if scl.size else 0
-        for j in range(max_l):
-            live_count = int(np.searchsorted(-scl, -j, side="left"))
-            live = srt[:live_count]
-            if live.size == 0:
-                break
-            idx = (rep.cs[live] + j * C)[:, None] + self._lane_off
-            contrib = sr.mul(self._val[idx][..., None], Xp[self._col[idx]])
-            y3[live] = sr.add(y3[live], contrib)
+        spmm_layer_sweep(rep, sr, Xp, Y, self._all_chunks)
         return Y[rep.perm]
 
     def power_iterate(self, x0: np.ndarray, steps: int) -> np.ndarray:

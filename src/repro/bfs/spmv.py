@@ -8,8 +8,11 @@ four semirings, with two interchangeable execution engines:
   simulated vector ISA.  One Python-level loop over chunks and column
   layers; every vector instruction and memory word is counted when
   ``counting=True``.  This engine is the ground truth for the cost model.
-* ``engine="layer"`` — processes *all* active chunks of one column layer at
-  a time in whole-array NumPy (ELLPACK-style).  Bit-identical results,
+* ``engine="layer"`` — the B=1 case of
+  :class:`~repro.bfs.msbfs.MultiSourceBFS`: every column layer of all
+  active chunks is processed at once in whole-array NumPy (ELLPACK-style)
+  by the library's one layer-sweep kernel,
+  :func:`~repro.bfs.msbfs.spmm_layer_sweep`.  Bit-identical results,
   orders of magnitude faster wall clock; per-iteration counters are
   synthesized analytically (validated against the chunk engine in tests).
 
@@ -198,18 +201,21 @@ class BFSSpMV:
         roots = np.asarray(roots, dtype=np.int64)
         if roots.ndim != 1:
             raise ValueError(f"roots must be 1-D, got shape {roots.shape}")
-        if self.batch is None or self.batch <= 1 or self.engine == "chunk":
+        if (self.batch is None or self.batch <= 1 or self.engine == "chunk"
+                or not roots.size):
             return [self.run(int(r)) for r in roots]
+        from repro.bfs.msbfs import run_in_batches
+
+        return run_in_batches(self._multi_source(), roots, self.batch)
+
+    def _multi_source(self):
+        """The batched layer engine with this engine's settings."""
         from repro.bfs.msbfs import MultiSourceBFS
 
-        ms = MultiSourceBFS(
+        return MultiSourceBFS(
             self.rep, self.semiring, slimwork=self.slimwork,
             counting=self.counting, compute_parents=self.compute_parents,
             max_iters=self.max_iters)
-        out: list = []
-        for i in range(0, roots.size, self.batch):
-            out.extend(ms.run(roots[i:i + self.batch]))
-        return out
 
     # ------------------------------------------------------------------
     def _active_chunks(self, st: BFSState) -> np.ndarray:
@@ -221,56 +227,9 @@ class BFSSpMV:
         return ~settled.all(axis=1)
 
     def _run_layer(self, proot: int) -> tuple[BFSState, list[IterationStats]]:
-        rep, sr = self.rep, self.semiring
-        C, nc, N = rep.C, rep.nc, rep.N
-        st = sr.init_state(rep.n, N, proot)
-        col = rep.col64  # memoized on the representation across run() calls
-        val = rep.val_for(sr)
-        cs, cl = rep.cs, rep.cl
-        lane_off = np.arange(C, dtype=np.int64)
-        cap = self.max_iters if self.max_iters is not None else N + 1
-        iters: list[IterationStats] = []
-        k = 0
-        while k < cap:
-            k += 1
-            st.depth = k
-            t0 = time.perf_counter()
-            active = self._active_chunks(st)
-            act = np.flatnonzero(active)
-            x_raw = st.f.copy()  # carry: skipped chunks keep their old values
-            f_prev = st.f
-            x2d = x_raw.reshape(nc, C)
-            if act.size:
-                # Sort active chunks by descending length: the live set of
-                # each successive column layer is then a shrinking prefix.
-                order = np.argsort(-cl[act], kind="stable")
-                srt = act[order]
-                scl = cl[srt]
-                max_l = int(scl[0]) if scl.size else 0
-                for j in range(max_l):
-                    live_count = int(np.searchsorted(-scl, -j, side="left"))
-                    live = srt[:live_count]
-                    if live.size == 0:
-                        break
-                    idx = (cs[live] + j * C)[:, None] + lane_off
-                    rhs = f_prev[col[idx]]
-                    contrib = sr.mul(val[idx], rhs)
-                    x2d[live] = sr.add(x2d[live], contrib)
-            newly = sr.postprocess(st, x_raw)
-            stats = IterationStats(
-                k=k, newly=newly, time_s=time.perf_counter() - t0,
-                chunks_processed=int(act.size),
-                chunks_skipped=int(nc - act.size),
-                work_lanes=int(cl[act].sum()) * C,
-            )
-            if self.counting:
-                stats.counters = synthesize_counters(
-                    sr, C, self.is_slim, int(act.size), int(nc - act.size),
-                    int(cl[act].sum()), self.slimwork)
-            iters.append(stats)
-            if newly == 0:
-                break
-        return st, iters
+        """The batched engine's sweep on the single column ``[proot]``."""
+        finals, per_src = self._multi_source()._sweep(np.array([proot]))
+        return finals[0], per_src[0]
 
     def _run_chunk(self, proot: int) -> tuple[BFSState, list[IterationStats]]:
         rep, sr = self.rep, self.semiring

@@ -6,7 +6,8 @@ unchanged — but the ``val`` array now holds information (the weights) and
 can no longer be reconstructed from ``col`` markers.  ``WeightedSellCSigma``
 completes that story: it shares the geometry of :class:`SellCSigma` and
 adds a weight-filled ``val``, on which :func:`sssp_chunked` runs min-plus
-SSSP with the same layer sweep the BFS engines use.
+SSSP through the BFS engines' one layer-sweep kernel,
+:func:`~repro.bfs.msbfs.spmm_layer_sweep`, with every chunk active.
 
 Storage: 4m + 2n/C + P cells — exactly Sell-C-σ; the 2m-cell SlimSell
 saving is unavailable, by construction.
@@ -47,8 +48,8 @@ class WeightedSellCSigma(SellCSigma):
         if weights.shape != (graph.m,):
             raise ValueError(
                 f"weights must have shape ({graph.m},), got {weights.shape}")
-        if weights.size and weights.min() < 0:
-            raise ValueError("negative edge weights are not supported")
+        if not (weights >= 0).all():
+            raise ValueError("negative or NaN edge weights are not supported")
         self.edge_weights = weights
         self._wval = self._scatter_weights(weights)
 
@@ -96,18 +97,14 @@ def sssp_chunked(rep: WeightedSellCSigma, root: int,
     access pattern, real edge weights in ``val``.  Converges in (weighted
     hop diameter + 1) sweeps.
     """
+    from repro.bfs.msbfs import spmm_layer_sweep
     from repro.semirings.base import get_semiring
 
     n = rep.n
     if not 0 <= root < n:
         raise ValueError(f"root {root} out of range [0, {n})")
     sr = get_semiring("tropical")
-    C = rep.C
-    col = rep.col64  # memoized on the representation across runs
-    val = rep.val_for(sr)
-    lane_off = np.arange(C, dtype=np.int64)
-    order = np.argsort(-rep.cl, kind="stable")
-    scl = rep.cl[order]
+    every = np.arange(rep.nc)
     f = np.full(rep.N, np.inf)
     f[int(rep.perm[root])] = 0.0
     iters: list[IterationStats] = []
@@ -118,19 +115,12 @@ def sssp_chunked(rep: WeightedSellCSigma, root: int,
         k += 1
         t_it = time.perf_counter()
         x = f.copy()
-        x2d = x.reshape(rep.nc, C)
-        for j in range(int(scl[0]) if scl.size else 0):
-            live = order[: int(np.searchsorted(-scl, -j, side="left"))]
-            if live.size == 0:
-                break
-            idx = (rep.cs[live] + j * C)[:, None] + lane_off
-            contrib = sr.mul(val[idx], f[col[idx]])
-            x2d[live] = sr.add(x2d[live], contrib)
+        spmm_layer_sweep(rep, sr, f, x, every)
         changed = int(np.count_nonzero(x != f))
         f = x
         iters.append(IterationStats(
             k=k, newly=changed, time_s=time.perf_counter() - t_it,
-            work_lanes=int(rep.cl.sum()) * C, direction="weighted-sweep"))
+            work_lanes=int(rep.cl.sum()) * rep.C, direction="weighted-sweep"))
         if changed == 0:
             break
     dist = f[rep.perm]

@@ -34,6 +34,8 @@ class TestExpandWeights:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             expand_edge_weights(path_graph(3), np.array([1.0, -0.5]))
+        with pytest.raises(ValueError, match="negative"):
+            expand_edge_weights(path_graph(3), np.array([1.0, np.nan]))
 
 
 class TestAgainstReferences:

@@ -50,6 +50,8 @@ class TestLayout:
         g = path_graph(4)
         with pytest.raises(ValueError, match="negative"):
             WeightedSellCSigma(g, np.array([1.0, -1.0, 1.0]), C=4)
+        with pytest.raises(ValueError, match="negative"):
+            WeightedSellCSigma(g, np.array([1.0, np.nan, 1.0]), C=4)
 
     def test_non_tropical_semiring_rejected(self):
         g = path_graph(3)
