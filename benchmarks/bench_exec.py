@@ -10,7 +10,9 @@ critical-path (slowest-shard) seconds the distributed model charges as
 
 The gated figure of merit is ``speedup_critical_path``: the W=1 compute
 total over the W-worker critical-path total, measured by the serial
-backend (each shard timed alone, so per-shard attribution is clean).  It
+backend (each shard timed alone, so per-shard attribution is clean) on
+the numpy layer-sweep kernel (pinned, so a kernel change cannot move
+it; the threads wall times and the calibration use the default kernel).  It
 is the measured analogue of the dist model's local-phase scaling and is
 portable to a single-core CI host, where *wall-clock* parallel speedup
 is unmeasurable by construction — the threads backend's wall times are
@@ -39,6 +41,7 @@ import numpy as np
 
 from _common import write_bench_json
 
+from repro.bfs import native
 from repro.bfs.msbfs import MultiSourceBFS
 from repro.dist.calibrate import calibrate
 from repro.exec.engine import ExecMultiSourceBFS
@@ -80,25 +83,28 @@ def run_sweep(scale: int, edgefactor: float, nroots: int,
 
     rows = []
     base_compute = None
-    for W in sorted(set(workers)):
-        with ExecMultiSourceBFS(rep, "sel-max", workers=W, backend="serial",
-                                slimwork=True) as engine:
-            results, wall_s, prof = _timed_run(engine, roots)
-        compute_s = sum(layer.t_compute_total_s for layer in prof)
-        critical_s = sum(layer.t_local_s for layer in prof)
-        if base_compute is None:
-            if W != 1:
-                raise SystemExit("workers must include 1 (the baseline)")
-            base_compute = compute_s
-        rows.append({
-            "workers": W,
-            "wall_s": wall_s,
-            "compute_s": compute_s,
-            "critical_path_s": critical_s,
-            "exchange_s": sum(layer.t_exchange_s for layer in prof),
-            "speedup_critical_path": base_compute / critical_s,
-            "identical_to_msbfs": bool(_identical(results, expected)),
-        })
+    # The gated critical-path ratios are numpy-kernel quotients, pinned so
+    # a kernel change cannot move them.
+    with native.use_kernel("numpy"):
+        for W in sorted(set(workers)):
+            with ExecMultiSourceBFS(rep, "sel-max", workers=W,
+                                    backend="serial", slimwork=True) as engine:
+                results, wall_s, prof = _timed_run(engine, roots)
+            compute_s = sum(layer.t_compute_total_s for layer in prof)
+            critical_s = sum(layer.t_local_s for layer in prof)
+            if base_compute is None:
+                if W != 1:
+                    raise SystemExit("workers must include 1 (the baseline)")
+                base_compute = compute_s
+            rows.append({
+                "workers": W,
+                "wall_s": wall_s,
+                "compute_s": compute_s,
+                "critical_path_s": critical_s,
+                "exchange_s": sum(layer.t_exchange_s for layer in prof),
+                "speedup_critical_path": base_compute / critical_s,
+                "identical_to_msbfs": bool(_identical(results, expected)),
+            })
 
     threads_rows = []
     for W in sorted(set(workers)):

@@ -7,7 +7,8 @@ batch widths B and Beamer thresholds α, against the all-pull multi-source
 engine (PR 2's ``bench_msbfs_batch.py`` kernel) measured at the same batch
 widths on the same prebuilt representation.  Every hybrid run is checked
 bit-identical (distances and parents) to the all-pull baseline before its
-timing is trusted.
+timing is trusted.  Everything runs on the numpy layer-sweep kernel
+(pinned), so the ratios stay comparable across kernel changes.
 
 The expected shape: direction optimization dominates at small B (push
 phases skip the full-graph pull sweeps that batching has not yet
@@ -34,6 +35,7 @@ import numpy as np
 
 from _common import write_bench_json
 
+from repro.bfs import native
 from repro.bfs.mshybrid import MultiSourceHybridBFS
 from repro.bfs.spmv import BFSSpMV
 from repro.formats.slimsell import SlimSell
@@ -54,6 +56,15 @@ def _identical(a, b) -> bool:
 
 def run_sweep(scale: int, edgefactor: float, nroots: int,
               batches: list[int], alphas: list[float], seed: int = 1) -> dict:
+    # The gated speedup ratios are numpy-kernel quotients: the native
+    # kernel speeds up B=1 far more than wide batches, which would move
+    # them with no regression.  bench_msbfs_batch gates the kernel itself.
+    with native.use_kernel("numpy"):
+        return _run_sweep(scale, edgefactor, nroots, batches, alphas, seed)
+
+
+def _run_sweep(scale: int, edgefactor: float, nroots: int,
+               batches: list[int], alphas: list[float], seed: int) -> dict:
     graph = kronecker(scale, edgefactor, seed=seed)
     t0 = time.perf_counter()
     rep = SlimSell(graph, 16, graph.n)

@@ -11,7 +11,9 @@ What is compared is deliberately machine-portable:
 
 * ``bench_msbfs_batch`` / ``bench_mshybrid`` — batching/direction speedup
   *ratios* (kernel-time quotients measured in the same process, so the
-  host's absolute speed divides out);
+  host's absolute speed divides out), timed on the pinned numpy kernel,
+  plus ``bench_msbfs_batch``'s native-over-numpy kernel ratios (per sweep
+  width and one engine run, same process);
 * ``bench_dist_batch`` — the distributed model's ``modeled_total_s`` and
   ``comm_bytes_per_rank`` series, which are deterministic functions of the
   code (chunk activity × analytic cost model), i.e. exact change detectors;
@@ -82,11 +84,33 @@ def _run_msbfs_quick() -> dict:
 
 
 def _extract_msbfs(payload: dict) -> list[Point]:
-    return [
+    points = [
         Point(f"B={r['B']}.speedup_vs_B1", r["speedup_vs_B1"], "higher", True)
         for r in payload["batches"]
         if r["B"] != 1
     ]
+    # Native C kernel over the numpy kernel, same process: the raw sweep
+    # per width and one end-to-end engine run (absent when no compiler).
+    nat = payload.get("native")
+    if nat:
+        points.extend(
+            Point(
+                f"native.W={r['W']}.native_over_numpy",
+                r["native_over_numpy"],
+                "higher",
+                True,
+            )
+            for r in nat["sweep"]
+        )
+        points.append(
+            Point(
+                "native.engine.native_over_numpy",
+                nat["engine"]["native_over_numpy"],
+                "higher",
+                True,
+            )
+        )
+    return points
 
 
 def _run_mshybrid_quick() -> dict:

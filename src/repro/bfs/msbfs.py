@@ -36,6 +36,13 @@ alone, per source:
 Wall-clock accounting: one sweep's time is shared equally by the sources
 still running, so per-source ``time_s``/``total_time_s`` are amortized
 figures (their sum over a batch equals the batch's true wall clock).
+
+The layer sweep itself runs in one of two kernels with bit-identical
+results: a compiled C loop per semiring (:mod:`repro.bfs.native`, the
+default whenever a C compiler is available) or the numpy fancy-indexing
+loop in :func:`sweep_band_layers`, which stays as the fallback and as the
+oracle the C loops are tested against.  ``REPRO_KERNEL`` /
+:func:`repro.bfs.native.set_kernel` choose between them process-wide.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ import time
 
 import numpy as np
 
+from repro.bfs import native
 from repro.bfs.dp import dp_transform
 from repro.bfs.result import BFSResult, IterationStats
 from repro.bfs.spmv import synthesize_counters
@@ -139,8 +147,11 @@ def run_in_batches(engine, roots, batch: int | None) -> list[BFSResult]:
 # module's all-pull SpMM engine and, as its B=1 case, BFSSpMV's layer
 # engine; the hybrid engines' pull steps (repro.bfs.hybrid,
 # repro.bfs.mshybrid); SlimSpMV (PageRank, betweenness); and the
-# weighted min-plus SSSP sweep.  The per-column state bookkeeping the
-# batched engines share lives here as functions too.
+# weighted min-plus SSSP sweep.  sweep_band_layers hands each sweep to
+# the compiled C loop of repro.bfs.native when it can and otherwise runs
+# the numpy loop below, so every caller gets the native kernel with no
+# call-site change.  The per-column state bookkeeping the batched engines
+# share lives here as functions too.
 # ----------------------------------------------------------------------
 def sweep_band_layers(sr: SemiringBFS, C: int, col: np.ndarray,
                       val: np.ndarray, cs: np.ndarray, cl: np.ndarray,
@@ -167,22 +178,32 @@ def sweep_band_layers(sr: SemiringBFS, C: int, col: np.ndarray,
     ``profile`` (optional) is the per-layer profiling hook: when a list is
     passed, one ``(j, live_n)`` pair is appended per column layer swept —
     layer index and the number of chunks still live at that depth — the
-    shape the tracing engines attach to their layer spans.
+    shape the tracing engines attach to their layer spans.  Both kernels
+    fill it from the same live counts.
+
+    The sweep runs in the native C loop (:func:`repro.bfs.native.sweep`)
+    when the semiring, dtypes and layout allow and the native kernel is
+    selected; otherwise in the numpy loop below.  The results are
+    bit-identical either way.
     """
     if act.size == 0:
         return
-    lane_off = np.arange(C, dtype=np.int64)
+    out = act if act_out is None else act_out
+    if profile is None and native.sweep(sr, C, col, val, cs, cl, f_prev,
+                                        x_nd, act, out):
+        return
     order = np.argsort(-cl[act], kind="stable")
-    srt = act[order]
-    out = srt if act_out is None else act_out[order]
+    srt, out = act[order], out[order]
     scl = cl[srt]
-    max_l = int(scl[0]) if scl.size else 0
-    for j in range(max_l):
-        live_n = int(np.searchsorted(-scl, -j, side="left"))
-        if live_n == 0:
-            break
-        if profile is not None:
-            profile.append((j, live_n))
+    # Chunks still live at each layer depth j (those longer than j): the
+    # shrinking prefix of srt, one vectorized search for every layer.
+    lives = np.searchsorted(-scl, -np.arange(scl[0]), side="left").tolist()
+    if profile is not None:
+        profile.extend(enumerate(lives))
+        if native.sweep(sr, C, col, val, cs, cl, f_prev, x_nd, srt, out):
+            return
+    lane_off = np.arange(C, dtype=np.int64)
+    for j, live_n in enumerate(lives):
         live = srt[:live_n]
         idx = (cs[live] + j * C)[:, None] + lane_off  # (L, C)
         vals = val[idx][..., None] if x_nd.ndim == 3 else val[idx]

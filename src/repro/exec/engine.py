@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bfs import native
 from repro.bfs.msbfs import MultiSourceBFS, build_rep, run_in_batches
 from repro.bfs.result import BFSResult
 from repro.dist.partition import Partition1D
@@ -159,9 +160,20 @@ class ExecMultiSourceBFS(MultiSourceBFS):
         #: Measured per-union-iteration profiles, accumulated across runs
         #: (reset with :meth:`reset_profile`).
         self.layer_profile: list[ExecLayerStats] = []
-        #: Optional :class:`repro.obs.metrics.MetricsRegistry` to publish
-        #: per-layer compute/exchange/idle figures into (``exec.*``).
-        self.metrics = None
+        self._metrics = None
+
+    @property
+    def metrics(self):
+        """Optional :class:`repro.obs.metrics.MetricsRegistry` to publish
+        per-layer compute/exchange/idle figures into (``exec.*``), plus
+        the ``kernel.native`` view of which layer-sweep kernel runs."""
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, registry) -> None:
+        self._metrics = registry
+        if registry is not None:
+            native.register_metrics(registry)
 
     # ------------------------------------------------------------------
     def _ensure_pool(self, f_prev: np.ndarray):

@@ -61,8 +61,9 @@ creates *no span ever* and stays bit-identical, exactly like
 ``faults=None``.  Every scalar :class:`ServeStats` counter lives in the
 server's :class:`~repro.obs.metrics.MetricsRegistry` (``self.metrics``)
 under stable ``serve.*`` names, and the cache, MSHR, batcher and breaker
-publish lazy views beside them; the registry always exists — it is pure
-bookkeeping relocation, with no clock reads and no rng.
+publish lazy views beside them (as does ``kernel.native``: 1 when the
+layer sweeps run the compiled C kernel); the registry always exists — it
+is pure bookkeeping relocation, with no clock reads and no rng.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.bfs import native
 from repro.bfs.msbfs import build_rep
 from repro.bfs.result import BFSResult
 from repro.formats.sell import SellCSigma
@@ -420,6 +422,7 @@ class Server:
         self.mshr.register_metrics(self.metrics)
         self.batcher.register_metrics(self.metrics)
         self.breaker.register_metrics(self.metrics)
+        native.register_metrics(self.metrics)
         self.metrics.register_view("serve.epoch", lambda: self.epoch)
         self.metrics.register_view("serve.busy_until",
                                    lambda: self._busy_until)
